@@ -22,13 +22,41 @@
 //! are auditable.
 
 use grid3_bench::{cms_config, gatekeeper_load_sweep, sc2003_config, seven_months_config};
+use grid3_core::campaign::{run_campaign, CampaignPlan};
 use grid3_core::report::Grid3Report;
 use grid3_core::scenario::ScenarioConfig;
+use grid3_simkit::stats::Summary;
 use grid3_site::vo::Vo;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 const SEED: u64 = 2003;
+
+/// The artifact keywords `figures` accepts besides the DSL and
+/// crash-safety modes (no keyword at all means `all`).
+const KEYWORDS: &[&str] = &[
+    "all",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "table1",
+    "metrics",
+    "gkload",
+    "variance",
+    "ablation",
+    "telemetry",
+    "heat",
+    "ops",
+    "export-scenarios",
+    "smoke-scenarios",
+];
+
+/// Worker threads for the seed sweeps: one per available core.
+fn threads() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -58,6 +86,15 @@ fn main() {
             args.insert(flag.to_string());
             i += 1;
         }
+    }
+    if let Some(bad) = args.iter().find(|a| !KEYWORDS.contains(&a.as_str())) {
+        eprintln!("[figures] unknown keyword `{bad}`");
+        eprintln!(
+            "usage: figures [{}]... | --scenario <file> [--trace <log>] | --trace <log> \
+             | campaign <dir> | autopsy <snap>",
+            KEYWORDS.join("|")
+        );
+        std::process::exit(2);
     }
 
     if args.remove("export-scenarios") {
@@ -212,20 +249,30 @@ fn main() {
     }
 
     if want("variance") {
-        println!("Seed robustness (30-day window, 10% scale, 8 seeds, Rayon fan-out):");
+        println!("Seed robustness (30-day window, 10% scale, 8 seeds, campaign worker pool):");
         let cfg = sc2003_config(0).with_scale(0.1);
-        let seeds: Vec<u64> = (1..=8).collect();
-        let s = grid3_core::scenario::replica_summary(&cfg, &seeds);
-        let row = |name: &str, st: &grid3_core::scenario::SummaryStats| {
+        let plan = CampaignPlan::single("variance", cfg, (1..=8).collect());
+        let outcome = run_campaign(&plan, threads());
+        let reports = &outcome.reports[0];
+        let row = |name: &str, metric: &dyn Fn(&Grid3Report) -> f64| {
+            let mut st = Summary::new();
+            for r in reports {
+                st.record(metric(r));
+            }
             println!(
                 "  {name:<24} mean {:>8.3}  σ {:>7.3}  min {:>8.3}  max {:>8.3}",
-                st.mean, st.std_dev, st.min, st.max
+                st.mean(),
+                st.std_dev(),
+                st.min(),
+                st.max()
             );
         };
-        row("efficiency", &s.efficiency);
-        row("peak concurrent jobs", &s.peak_concurrent);
-        row("site-problem fraction", &s.site_problem_fraction);
-        row("total data (TB)", &s.total_data_tb);
+        row("efficiency", &|r| r.metrics.overall_efficiency);
+        row("peak concurrent jobs", &|r| r.metrics.peak_concurrent_jobs);
+        row("site-problem fraction", &|r| {
+            r.metrics.site_problem_fraction
+        });
+        row("total data (TB)", &|r| r.metrics.total_data.as_tb_f64());
         println!();
     }
 
@@ -234,10 +281,6 @@ fn main() {
         let base = sc2003_config(SEED).with_scale(0.25);
         let grid3 = base.clone().run();
         let srm = base.clone().with_srm(true).run();
-        let auto = base
-            .clone()
-            .with_pipeline(grid3_pacman::install::InstallPipeline::automated())
-            .run();
         // §8's storage lesson: reservations turn mid-flight storage
         // deaths (a job loses hours of work when the archive fills under
         // it) into cheap fail-fast rejections at submit time.
@@ -258,33 +301,19 @@ fn main() {
         );
         // The install-pipeline ablation is dominated by *which* sites ship
         // latent faults, so average it over seeds.
-        let seeds: Vec<u64> = (1..=6).collect();
-        let mis = |reports: &[grid3_core::report::Grid3Report]| -> (f64, f64) {
-            let mean = |it: Vec<f64>| it.iter().sum::<f64>() / it.len() as f64;
-            (
-                mean(
-                    reports
-                        .iter()
-                        .map(|r| count(r, "misconfiguration") as f64)
-                        .collect(),
-                ),
-                mean(
-                    reports
-                        .iter()
-                        .map(|r| r.metrics.overall_efficiency)
-                        .collect(),
-                ),
-            )
+        let automated = base
+            .clone()
+            .with_pipeline(grid3_pacman::install::InstallPipeline::automated());
+        let plan = CampaignPlan::single("manual", base, (1..=6).collect())
+            .with_variant("automated", automated);
+        let outcome = run_campaign(&plan, threads());
+        let mean = |reports: &[Grid3Report], metric: &dyn Fn(&Grid3Report) -> f64| {
+            reports.iter().map(metric).sum::<f64>() / reports.len() as f64
         };
-        let manual_reports = grid3_core::scenario::run_replicas(&base, &seeds);
-        let auto_reports = grid3_core::scenario::run_replicas(
-            &base
-                .clone()
-                .with_pipeline(grid3_pacman::install::InstallPipeline::automated()),
-            &seeds,
-        );
-        let (mis_manual, eff_manual) = mis(&manual_reports);
-        let (mis_auto, eff_auto) = mis(&auto_reports);
+        let misconfig = |r: &Grid3Report| count(r, "misconfiguration") as f64;
+        let mis_manual = mean(&outcome.reports[0], &misconfig);
+        let mis_auto = mean(&outcome.reports[1], &misconfig);
+        let eff_auto = mean(&outcome.reports[1], &|r| r.metrics.overall_efficiency);
         println!(
             "  {:<26} efficiency {:>5.1}%   misconfig failures {:>6.0} (vs {:.0}; 6-seed mean)",
             "+ automated install",
@@ -292,7 +321,6 @@ fn main() {
             mis_auto,
             mis_manual
         );
-        let _ = (auto, eff_manual);
         println!();
     }
 

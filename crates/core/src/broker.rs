@@ -31,8 +31,8 @@ use std::cmp::Ordering;
 /// The §6.4 soft ranking: available headroom first, then bandwidth
 /// (criterion 4), then site id for determinism. A total order on
 /// [`GlueRecord`]s — restricting it to any eligible subset therefore
-/// yields the same relative order, which is what lets [`RankCache`]
-/// score the full directory once per epoch instead of per job.
+/// yields the same relative order, which is what lets [`SiteTable`]
+/// score the full directory once per MDS epoch instead of per job.
 fn rank_order(a: &GlueRecord, b: &GlueRecord) -> Ordering {
     let ha = a.free_cpus as i64 - a.queued_jobs as i64;
     let hb = b.free_cpus as i64 - b.queued_jobs as i64;
@@ -47,46 +47,6 @@ fn rank_order(a: &GlueRecord, b: &GlueRecord) -> Ordering {
             )
         })
         .then_with(|| a.site.cmp(&b.site))
-}
-
-/// A memoised site ranking, revalidated against [`MdsDirectory::epoch`].
-///
-/// The rank comparator reads nothing but the `GlueRecord`s, so between
-/// MDS publishes the scored order cannot change; only the per-job hard
-/// criteria (VO admission, disk, walltime, outbound) and freshness do.
-/// The cache scores *every* published record once per epoch; per-job
-/// selection walks the cached order keeping eligible sites — identical
-/// to re-sorting the eligible subset, at a membership test per site.
-#[derive(Debug, Clone, Default)]
-pub struct RankCache {
-    /// Epoch `order` was computed at; `None` until first refresh.
-    epoch: Option<u64>,
-    order: Vec<SiteId>,
-}
-
-impl RankCache {
-    /// An empty cache; the first [`RankCache::refresh`] populates it.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Revalidate against the directory: one integer compare when the
-    /// epoch is unchanged, a full re-score when it moved.
-    pub fn refresh(&mut self, mds: &MdsDirectory) {
-        if self.epoch == Some(mds.epoch()) {
-            return;
-        }
-        let mut records: Vec<&GlueRecord> = mds.all_records().collect();
-        records.sort_by(|a, b| rank_order(a, b));
-        self.order.clear();
-        self.order.extend(records.iter().map(|r| r.site));
-        self.epoch = Some(mds.epoch());
-    }
-
-    /// Every published site, best-ranked first, as of the last refresh.
-    pub fn order(&self) -> &[SiteId] {
-        &self.order
-    }
 }
 
 /// Bit over [`Vo::ALL`] for one VO.
@@ -110,7 +70,7 @@ fn vo_bit(vo: Vo) -> u8 {
 pub struct SiteTable {
     epoch: Option<u64>,
     ttl: SimDuration,
-    /// Every published site, best-ranked first (the [`RankCache`] order).
+    /// Every published site, best-ranked first (the `rank_order` order).
     order: Vec<SiteId>,
     // --- dense columns, ascending site order ---
     site: Vec<SiteId>,
@@ -363,91 +323,6 @@ impl Broker {
         eligible.sort_by(|a, b| rank_order(a, b));
         let k = self.spread.max(1).min(eligible.len());
         Some(eligible[rng.below(k)].site)
-    }
-
-    /// [`Broker::select_filtered`] on the cached-ranking fast path.
-    ///
-    /// `ranked` is [`RankCache::order`] refreshed to the directory epoch
-    /// the `records` came from. Hard criteria, the health veto and both
-    /// soft-preference draws run exactly as in `select_filtered` (same
-    /// RNG draw sequence, so the two are drop-in interchangeable); only
-    /// the final O(n log n) re-sort is replaced by a walk down the
-    /// cached order. `records` must be in ascending site-id order, which
-    /// is how [`MdsDirectory::fresh_records`] yields them.
-    pub fn select_ranked(
-        &self,
-        spec: &JobSpec,
-        vo_affinity: f64,
-        records: &[&GlueRecord],
-        ranked: &[SiteId],
-        rng: &mut SimRng,
-        banned: impl Fn(SiteId) -> bool,
-    ) -> Option<SiteId> {
-        debug_assert!(
-            records.windows(2).all(|w| w[0].site < w[1].site),
-            "select_ranked needs records in ascending site order"
-        );
-        let vo = spec.class.vo();
-        let mut eligible: Vec<&&GlueRecord> = records
-            .iter()
-            .filter(|r| r.admits_vo(vo))
-            .filter(|r| !spec.needs_outbound || r.outbound_connectivity) // criterion 1
-            .filter(|r| spec.input_bytes + spec.output_bytes + spec.scratch_bytes <= r.se_free) // criterion 2
-            .filter(|r| spec.requested_walltime <= r.max_walltime) // criterion 3
-            .collect();
-        if eligible.is_empty() {
-            return None;
-        }
-        let healthy: Vec<&&GlueRecord> = eligible
-            .iter()
-            .copied()
-            .filter(|r| !banned(r.site))
-            .collect();
-        if !healthy.is_empty() {
-            eligible = healthy;
-        }
-        if rng.chance(vo_affinity) {
-            let own: Vec<&&GlueRecord> = eligible
-                .iter()
-                .copied()
-                .filter(|r| r.owner_vo == Some(vo))
-                .collect();
-            if !own.is_empty() {
-                eligible = own;
-            }
-        }
-
-        // Favorite path: `eligible` is already in ascending site order,
-        // so the `by_id` sort of the reference path is the identity.
-        if rng.chance(self.favorite_bias) {
-            let salt = rng.below(2);
-            let idx = (spec.user.0 as usize)
-                .wrapping_mul(2_654_435_761)
-                .wrapping_add(salt * 97)
-                % eligible.len();
-            return Some(eligible[idx].site);
-        }
-
-        // Ranked path: the target position the reference path would read
-        // out of its sorted eligible list, found by walking the cached
-        // global order and keeping eligible sites (binary search — the
-        // eligible list is site-id sorted).
-        let k = self.spread.max(1).min(eligible.len());
-        let target = rng.below(k);
-        let mut seen = 0usize;
-        for &site in ranked {
-            if eligible.binary_search_by(|r| r.site.cmp(&site)).is_ok() {
-                if seen == target {
-                    return Some(site);
-                }
-                seen += 1;
-            }
-        }
-        // Unreachable when `ranked` covers the directory the records came
-        // from; re-sort locally rather than misplace the job if not.
-        debug_assert!(false, "rank cache did not cover the eligible set");
-        eligible.sort_by(|a, b| rank_order(a, b));
-        Some(eligible[target].site)
     }
 
     /// [`Broker::select_filtered`] over the struct-of-arrays
@@ -832,51 +707,11 @@ mod tests {
     }
 
     #[test]
-    fn ranked_fast_path_matches_reference_broker() {
+    fn soa_table_path_matches_reference_broker() {
         // Drive both selection paths with identical RNG streams over a
         // messy directory (owned sites, banned sites, a NaN bandwidth,
-        // capacity ties) and require bit-identical picks.
-        let broker = Broker::default();
-        let mut records = vec![
-            record(0, 90, None),
-            record(1, 80, Some(Vo::Uscms)),
-            record(2, 80, Some(Vo::Usatlas)),
-            record(3, 70, None),
-            record(4, 5, Some(Vo::Usatlas)),
-            record(5, 90, None),
-        ];
-        records[3].wan_bandwidth = Bandwidth::from_bytes_per_sec(f64::NAN);
-        records[5].queued_jobs = 88; // headroom 2
-        let mut mds = grid3_middleware::mds::MdsDirectory::with_default_ttl();
-        for r in &records {
-            mds.publish(r.clone());
-        }
-        let mut cache = RankCache::new();
-        cache.refresh(&mds);
-        let refs: Vec<&GlueRecord> = records.iter().collect();
-        let banned = |s: SiteId| s == SiteId(0);
-        let mut fast_rng = SimRng::for_entity(77, 77);
-        let mut ref_rng = SimRng::for_entity(77, 77);
-        for trial in 0..300u32 {
-            let mut s = spec(if trial % 2 == 0 {
-                UserClass::Usatlas
-            } else {
-                UserClass::Ivdgl
-            });
-            s.user = UserId(trial % 7);
-            let affinity = f64::from(trial % 3) / 2.0;
-            let fast =
-                broker.select_ranked(&s, affinity, &refs, cache.order(), &mut fast_rng, banned);
-            let reference = broker.select_filtered(&s, affinity, &refs, &mut ref_rng, banned);
-            assert_eq!(fast, reference, "trial {trial} diverged");
-        }
-    }
-
-    #[test]
-    fn soa_table_path_matches_reference_broker() {
-        // Same differential drive as the ranked-path test, but through
-        // the struct-of-arrays table with freshness and online checks
-        // folded into the scan: a stale record and an offline site must
+        // capacity ties) and require bit-identical picks, with the
+        // table's freshness and online checks folded into the scan: a stale record and an offline site must
         // drop out exactly as pre-filtering drops them for the
         // reference path.
         let broker = Broker::default();
@@ -942,20 +777,20 @@ mod tests {
     }
 
     #[test]
-    fn rank_cache_revalidates_on_epoch_bump() {
+    fn site_table_revalidates_on_epoch_bump() {
         let mut mds = grid3_middleware::mds::MdsDirectory::with_default_ttl();
         mds.publish(record(0, 10, None));
         mds.publish(record(1, 90, None));
-        let mut cache = RankCache::new();
-        cache.refresh(&mds);
-        assert_eq!(cache.order(), &[SiteId(1), SiteId(0)]);
+        let mut table = SiteTable::new();
+        table.refresh(&mds);
+        assert_eq!(table.order(), &[SiteId(1), SiteId(0)]);
         // No epoch movement → refresh is a no-op integer compare.
-        cache.refresh(&mds);
-        assert_eq!(cache.order(), &[SiteId(1), SiteId(0)]);
+        table.refresh(&mds);
+        assert_eq!(table.order(), &[SiteId(1), SiteId(0)]);
         // A publish flips the capacity order and bumps the epoch.
         mds.publish(record(0, 100, None));
-        cache.refresh(&mds);
-        assert_eq!(cache.order(), &[SiteId(0), SiteId(1)]);
+        table.refresh(&mds);
+        assert_eq!(table.order(), &[SiteId(0), SiteId(1)]);
     }
 
     #[test]

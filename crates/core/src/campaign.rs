@@ -4,10 +4,10 @@
 //!
 //! The discrete-event core is strictly sequential per run — a run is a
 //! pure function of `(config, seed)` — so parallelism lives *across*
-//! runs, exactly like [`crate::scenario::run_replicas`] but generalised
-//! to a grid of `variants × seeds` and to a merged statistical summary.
-//! Every executor ([`run_campaign`], [`run_campaign_serial`],
-//! [`run_with_threads`]) produces the identical [`CampaignOutcome`]:
+//! runs, over a grid of `variants × seeds`. [`run_campaign`] is the one
+//! worker pool; [`run_campaign_serial`] is the plain-loop reference it is
+//! tested against, and [`run_campaign_resumable`] the crash-safe serial
+//! executor. All three produce the identical [`CampaignOutcome`]:
 //! reports are collected in plan order no matter which worker finished
 //! first, so the merged summary is independent of thread count and
 //! scheduling.
@@ -87,53 +87,6 @@ impl CampaignPlan {
         }
         out
     }
-}
-
-/// Progress snapshot handed to [`CampaignObserver::run_finished`] as
-/// each run completes.
-#[derive(Debug, Clone)]
-pub struct RunProgress<'a> {
-    /// The finished run's variant label.
-    pub variant: &'a str,
-    /// The finished run's seed.
-    pub seed: u64,
-    /// Runs finished so far, this one included (monotonic across
-    /// workers: 1, 2, …, `total` regardless of thread count).
-    pub completed: usize,
-    /// Total runs in the plan.
-    pub total: usize,
-    /// The finished run's overall completion efficiency.
-    pub efficiency: f64,
-}
-
-/// Progress hook for campaign executors. Called once per finished run,
-/// from whichever worker finished it, in *completion* order; reports
-/// and profiles are still collected in plan order, so the
-/// [`CampaignOutcome`] is identical for any thread count or scheduling.
-pub trait CampaignObserver: Sync {
-    /// One run of the plan finished.
-    fn run_finished(&self, progress: &RunProgress<'_>);
-}
-
-/// An observer that prints one progress line per finished run to
-/// stderr (stdout stays clean for machine-readable output).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StderrObserver;
-
-impl CampaignObserver for StderrObserver {
-    fn run_finished(&self, p: &RunProgress<'_>) {
-        eprintln!(
-            "[campaign {}/{}] {} seed {}: efficiency {:.3}",
-            p.completed, p.total, p.variant, p.seed, p.efficiency
-        );
-    }
-}
-
-/// The do-nothing observer behind the observer-less entry points.
-struct NullObserver;
-
-impl CampaignObserver for NullObserver {
-    fn run_finished(&self, _: &RunProgress<'_>) {}
 }
 
 /// A percentile band of one metric across a variant's runs.
@@ -373,81 +326,45 @@ fn merge_partial(
     }
 }
 
-/// Execute one planned run and notify `observer` with its plan context
-/// and the campaign-wide completion count.
-fn run_and_observe(
-    plan: &CampaignPlan,
-    (vi, seed, cfg): &(usize, u64, ScenarioConfig),
-    done: &AtomicUsize,
-    total: usize,
-    observer: &dyn CampaignObserver,
-) -> (Grid3Report, Option<CostProfiler>) {
+/// Execute one planned run, keeping its report and cost profile.
+fn run_one((_, _, cfg): &(usize, u64, ScenarioConfig)) -> (Grid3Report, Option<CostProfiler>) {
     let artifacts = cfg.run_full();
-    let completed = done.fetch_add(1, Ordering::SeqCst) + 1;
-    observer.run_finished(&RunProgress {
-        variant: &plan.variants[*vi].name,
-        seed: *seed,
-        completed,
-        total,
-        efficiency: artifacts.report.metrics.overall_efficiency,
-    });
     (artifacts.report, artifacts.profile)
 }
 
-/// Run the whole plan **in parallel** with Rayon (one simulation per
-/// worker; reports come back in plan order regardless of completion
-/// order) and merge the summary.
-pub fn run_campaign(plan: &CampaignPlan) -> CampaignOutcome {
-    run_campaign_observed(plan, &NullObserver)
-}
-
-/// [`run_campaign`] with a progress observer, invoked in completion
-/// order as workers finish.
-///
-/// When the Rayon pool has no real parallelism to offer (one worker —
-/// single-core hosts, `RAYON_NUM_THREADS=1`), `par_iter` still pays the
-/// job-splitting and work-stealing machinery for nothing and benches
-/// ~0.98× the plain serial loop, so the plan is dispatched to
-/// [`run_campaign_serial_observed`] instead. Both paths execute the same
-/// plan-ordered runs through the same `run_and_observe`, so the outcome
-/// is identical — asserted byte-for-byte in the tests.
-pub fn run_campaign_observed(
-    plan: &CampaignPlan,
-    observer: &dyn CampaignObserver,
-) -> CampaignOutcome {
-    use rayon::prelude::*;
-    if rayon::current_num_threads() <= 1 {
-        return run_campaign_serial_observed(plan, observer);
-    }
-    let total = plan.len();
-    let done = AtomicUsize::new(0);
-    let flat: Vec<(Grid3Report, Option<CostProfiler>)> = plan
-        .runs()
-        .par_iter()
-        .map(|run| run_and_observe(plan, run, &done, total, observer))
+/// Run the whole plan on `threads` OS threads (clamped to one per run)
+/// and merge the summary. Workers pull runs from a shared cursor and
+/// write each report into its plan-order slot, so the outcome is
+/// identical for any thread count — and to [`run_campaign_serial`]'s.
+pub fn run_campaign(plan: &CampaignPlan, threads: usize) -> CampaignOutcome {
+    let runs = plan.runs();
+    let n = runs.len();
+    let threads = threads.max(1).min(n.max(1));
+    type Slot = parking_lot::Mutex<Option<(Grid3Report, Option<CostProfiler>)>>;
+    let slots: Vec<Slot> = (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
+    let cursor = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                *slots[i].lock() = Some(run_one(&runs[i]));
+            });
+        }
+    });
+    let flat: Vec<(Grid3Report, Option<CostProfiler>)> = slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("every slot filled"))
         .collect();
     merge(plan, flat)
 }
 
-/// Run the whole plan serially (the reference executor the parallel
-/// paths are tested against).
+/// Run the whole plan in a plain serial loop: the reference executor
+/// [`run_campaign`] and [`run_campaign_resumable`] are tested against.
 pub fn run_campaign_serial(plan: &CampaignPlan) -> CampaignOutcome {
-    run_campaign_serial_observed(plan, &NullObserver)
-}
-
-/// [`run_campaign_serial`] with a progress observer.
-pub fn run_campaign_serial_observed(
-    plan: &CampaignPlan,
-    observer: &dyn CampaignObserver,
-) -> CampaignOutcome {
-    let total = plan.len();
-    let done = AtomicUsize::new(0);
-    let flat: Vec<(Grid3Report, Option<CostProfiler>)> = plan
-        .runs()
-        .iter()
-        .map(|run| run_and_observe(plan, run, &done, total, observer))
-        .collect();
-    merge(plan, flat)
+    merge(plan, plan.runs().iter().map(run_one).collect())
 }
 
 /// A directory-built campaign plan plus the files it had to skip, each
@@ -517,16 +434,17 @@ pub fn plan_from_dir(dir: &std::path::Path, seeds: Vec<u64>) -> Result<CampaignP
 
 /// Sweep a directory of scenario files: load each `*.json` as a variant
 /// (via [`plan_from_dir_graceful`]) and run the cross product with
-/// `seeds` in parallel. The scenario files are data — a sweep needs no
-/// code. Malformed files are recorded in the summary's
-/// [`skipped`](CampaignSummary::skipped) list and the valid scenarios
-/// still run.
+/// `seeds` on one worker per available core. The scenario files are
+/// data — a sweep needs no code. Malformed files are recorded in the
+/// summary's [`skipped`](CampaignSummary::skipped) list and the valid
+/// scenarios still run.
 pub fn run_campaign_dir(
     dir: &std::path::Path,
     seeds: Vec<u64>,
 ) -> Result<CampaignOutcome, DslError> {
     let DirPlan { plan, skipped } = plan_from_dir_graceful(dir, seeds)?;
-    let mut outcome = run_campaign(&plan);
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    let mut outcome = run_campaign(&plan, threads);
     outcome.summary.skipped = skipped
         .into_iter()
         .map(|(path, err)| SkippedScenario {
@@ -535,48 +453,6 @@ pub fn run_campaign_dir(
         })
         .collect();
     Ok(outcome)
-}
-
-/// Run the plan on exactly `threads` OS threads (Rayon sizes itself from
-/// the machine; benchmarks and the thread-independence tests need the
-/// count pinned). Workers pull runs from a shared cursor and write each
-/// report into its plan-order slot, so the outcome is identical for any
-/// thread count.
-pub fn run_with_threads(plan: &CampaignPlan, threads: usize) -> CampaignOutcome {
-    run_with_threads_observed(plan, threads, &NullObserver)
-}
-
-/// [`run_with_threads`] with a progress observer, invoked in completion
-/// order as workers finish.
-pub fn run_with_threads_observed(
-    plan: &CampaignPlan,
-    threads: usize,
-    observer: &dyn CampaignObserver,
-) -> CampaignOutcome {
-    let runs = plan.runs();
-    let n = runs.len();
-    let threads = threads.max(1).min(n.max(1));
-    type Slot = parking_lot::Mutex<Option<(Grid3Report, Option<CostProfiler>)>>;
-    let slots: Vec<Slot> = (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let done = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let result = run_and_observe(plan, &runs[i], &done, n, observer);
-                *slots[i].lock() = Some(result);
-            });
-        }
-    });
-    let flat: Vec<(Grid3Report, Option<CostProfiler>)> = slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("every slot filled"))
-        .collect();
-    merge(plan, flat)
 }
 
 #[cfg(test)]
@@ -677,56 +553,6 @@ mod tests {
         assert_eq!(runs[4].1, 2);
     }
 
-    /// Records every progress callback for the observer tests.
-    struct RecordingObserver(parking_lot::Mutex<Vec<(usize, String, u64)>>);
-
-    impl CampaignObserver for RecordingObserver {
-        fn run_finished(&self, p: &RunProgress<'_>) {
-            self.0
-                .lock()
-                .push((p.completed, p.variant.to_string(), p.seed));
-        }
-    }
-
-    #[test]
-    fn observer_sees_every_run_with_monotonic_completion() {
-        let plan = CampaignPlan::single("base", tiny(), vec![1, 2])
-            .with_variant("srm", tiny().with_srm(true));
-        let observer = RecordingObserver(parking_lot::Mutex::new(Vec::new()));
-        let outcome = run_with_threads_observed(&plan, 3, &observer);
-        let calls = observer.0.into_inner();
-        assert_eq!(calls.len(), plan.len());
-        // Completion counts arrive in order 1..=n no matter which worker
-        // finished which run.
-        let counts: Vec<usize> = calls.iter().map(|(c, _, _)| *c).collect();
-        assert_eq!(counts, (1..=plan.len()).collect::<Vec<_>>());
-        // Every (variant, seed) pair is reported exactly once.
-        let mut pairs: Vec<(String, u64)> = calls.iter().map(|(_, v, s)| (v.clone(), *s)).collect();
-        pairs.sort();
-        pairs.dedup();
-        assert_eq!(pairs.len(), plan.len());
-        assert_eq!(outcome.summary.runs, plan.len());
-    }
-
-    #[test]
-    fn observed_outcome_is_thread_count_independent() {
-        let plan = CampaignPlan::single("base", tiny(), vec![1, 2, 3]);
-        let observer = RecordingObserver(parking_lot::Mutex::new(Vec::new()));
-        let one = run_with_threads_observed(&plan, 1, &observer);
-        let four = run_with_threads_observed(&plan, 4, &observer);
-        let eff = |o: &CampaignOutcome| -> Vec<f64> {
-            o.reports[0]
-                .iter()
-                .map(|r| r.metrics.overall_efficiency)
-                .collect()
-        };
-        assert_eq!(eff(&one), eff(&four));
-        assert_eq!(
-            one.summary.variants[0].efficiency.p50,
-            four.summary.variants[0].efficiency.p50
-        );
-    }
-
     #[test]
     fn profiled_campaigns_merge_cost_bands() {
         let plan = CampaignPlan::single("profiled", tiny().with_profile(true), vec![1, 2]);
@@ -753,7 +579,7 @@ mod tests {
     fn variant_bands_reflect_their_configs() {
         let plan = CampaignPlan::single("base", tiny(), vec![1, 2])
             .with_variant("srm", tiny().with_srm(true));
-        let outcome = run_campaign(&plan);
+        let outcome = run_campaign(&plan, 2);
         assert_eq!(outcome.summary.variants.len(), 2);
         assert_eq!(outcome.summary.runs, 4);
         for v in &outcome.summary.variants {
@@ -764,14 +590,11 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_summaries_are_byte_identical() {
-        // The single-worker dispatch in run_campaign_observed must be a
-        // pure performance decision: whichever executor a host lands on,
-        // the serialized summary is the same byte stream. (On 1-core
-        // hosts this exercises the serial dispatch against the explicit
-        // serial path; on multi-core hosts, rayon against serial.)
+        // The worker pool is a pure reordering of the serial loop: the
+        // serialized summary is the same byte stream.
         let plan = CampaignPlan::single("base", tiny(), vec![1, 2])
             .with_variant("srm", tiny().with_srm(true));
-        let parallel = run_campaign(&plan);
+        let parallel = run_campaign(&plan, 3);
         let serial = run_campaign_serial(&plan);
         let parallel_json = serde_json::to_string(&parallel.summary).expect("serializes");
         let serial_json = serde_json::to_string(&serial.summary).expect("serializes");

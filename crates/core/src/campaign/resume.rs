@@ -33,8 +33,15 @@
 //!   deterministic hang will simply fail again.
 //!
 //! The executor is deliberately serial (one watchdog thread at a
-//! time): the journal then records a deterministic plan-order prefix,
-//! which is what makes "resume = replay prefix + run the rest" exact.
+//! time). Ordering is not the reason — every journal record carries its
+//! run index, so a resume replays whichever runs finished, in any order.
+//! Memory is: each checkpoint's encode builds a full `serde::Value` tree
+//! of the engine. On perfbench's `campaign_resume` workload (2-core
+//! host, seeds 1–3), two concurrent checkpointing runs lifted runs/s
+//! from 2.5–2.7 to 4.6–5.0 but peak RSS from 91–92 MB to 164–166 MB,
+//! and serializing the checkpoint writes under a lock still left RSS at
+//! 158–168 MB. A parallel crash-safe path waits for a cheaper snapshot
+//! encoding.
 
 use std::io::{Seek as _, Write as _};
 use std::path::{Path, PathBuf};

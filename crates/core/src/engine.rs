@@ -99,29 +99,8 @@ impl Grid3Engine {
 
     /// Run to the horizon.
     pub fn run(&mut self) {
-        let horizon = self.fabric.cfg.horizon();
-        while let Some(at) = self.ctx.queue.peek_time() {
-            if at >= horizon {
-                break;
-            }
-            let (now, event) = self
-                .ctx
-                .queue
-                .pop_profiled(&self.ctx.telemetry)
-                .expect("peeked");
-            if let Some(a) = &mut self.auditor {
-                a.observe_pop(now);
-            }
-            self.dispatch(now, event);
-        }
-        self.fabric.drain_netlogger();
-        if let Some(a) = &mut self.auditor {
-            a.verify_conservation(
-                self.ctx.queue.now(),
-                &self.fabric,
-                self.brokering.parked_jobs(),
-            );
-        }
+        self.advance(Some(self.fabric.cfg.horizon()));
+        self.finish();
     }
 
     /// Run forward until the simulation clock reaches `until` (capped at
@@ -132,22 +111,7 @@ impl Grid3Engine {
     /// uninterrupted `run()` — the property the snapshot differential
     /// suite locks.
     pub fn run_until(&mut self, until: SimTime) {
-        let horizon = self.fabric.cfg.horizon();
-        let stop = if until < horizon { until } else { horizon };
-        while let Some(at) = self.ctx.queue.peek_time() {
-            if at >= stop {
-                break;
-            }
-            let (now, event) = self
-                .ctx
-                .queue
-                .pop_profiled(&self.ctx.telemetry)
-                .expect("peeked");
-            if let Some(a) = &mut self.auditor {
-                a.observe_pop(now);
-            }
-            self.dispatch(now, event);
-        }
+        self.advance(Some(until.min(self.fabric.cfg.horizon())));
     }
 
     /// Capture the complete run-mutated state of this engine as a
@@ -178,12 +142,33 @@ impl Grid3Engine {
     /// injection.
     pub fn run_until_idle(&mut self) {
         self.run();
-        while let Some((now, event)) = self.ctx.queue.pop_profiled(&self.ctx.telemetry) {
+        self.advance(None);
+        self.finish();
+    }
+
+    /// The one event loop: pop and dispatch timed events until the queue
+    /// is empty or its next event is due at or after `stop` (`None`
+    /// drains the queue completely).
+    fn advance(&mut self, stop: Option<SimTime>) {
+        loop {
+            if let Some(stop) = stop {
+                if self.ctx.queue.peek_time().is_none_or(|at| at >= stop) {
+                    break;
+                }
+            }
+            let Some((now, event)) = self.ctx.queue.pop_profiled(&self.ctx.telemetry) else {
+                break;
+            };
             if let Some(a) = &mut self.auditor {
                 a.observe_pop(now);
             }
             self.dispatch(now, event);
         }
+    }
+
+    /// End-of-run finalization: drain the NetLogger buffers and, with the
+    /// auditor on, check job conservation at the final clock.
+    fn finish(&mut self) {
         self.fabric.drain_netlogger();
         if let Some(a) = &mut self.auditor {
             a.verify_conservation(

@@ -1,9 +1,7 @@
 //! The parallel campaign runner must be a pure reordering of the serial
 //! loop: same reports, same merged summary, for any thread count.
 
-use grid3_sim::core::campaign::{
-    run_campaign, run_campaign_serial, run_with_threads, CampaignPlan,
-};
+use grid3_sim::core::campaign::{run_campaign, run_campaign_serial, CampaignPlan};
 use grid3_sim::core::scenario::ScenarioConfig;
 
 fn plan() -> CampaignPlan {
@@ -20,7 +18,7 @@ fn plan() -> CampaignPlan {
 fn parallel_campaign_matches_serial_loop() {
     let plan = plan();
     let serial = run_campaign_serial(&plan);
-    let parallel = run_campaign(&plan);
+    let parallel = run_campaign(&plan, 4);
 
     // Every per-run report identical and in plan order.
     assert_eq!(serial.reports.len(), 1);
@@ -39,16 +37,28 @@ fn parallel_campaign_matches_serial_loop() {
 fn campaign_summary_is_independent_of_thread_count() {
     let plan = plan();
     let reference = serde_json::to_string(&run_campaign_serial(&plan).summary).unwrap();
-    for threads in [1, 2, 4] {
-        let got = serde_json::to_string(&run_with_threads(&plan, threads).summary).unwrap();
+    // 16 workers is more than the plan's 8 runs: the surplus must idle.
+    for threads in [1, 2, 3, 16] {
+        let got = serde_json::to_string(&run_campaign(&plan, threads).summary).unwrap();
         assert_eq!(got, reference, "summary diverged at {threads} threads");
+    }
+    // The empty plan merges to the same empty summary on any pool.
+    let empty = CampaignPlan {
+        seeds: vec![],
+        ..plan
+    };
+    let reference = serde_json::to_string(&run_campaign_serial(&empty).summary).unwrap();
+    for threads in [1, 16] {
+        let outcome = run_campaign(&empty, threads);
+        assert_eq!(outcome.summary.runs, 0);
+        assert_eq!(serde_json::to_string(&outcome.summary).unwrap(), reference);
     }
 }
 
 #[test]
 fn campaign_bands_cover_the_seed_spread() {
     let plan = plan();
-    let outcome = run_campaign(&plan);
+    let outcome = run_campaign(&plan, 2);
     let v = &outcome.summary.variants[0];
     assert_eq!(v.seeds.len(), 8);
     assert_eq!(outcome.summary.runs, 8);

@@ -372,10 +372,10 @@ fn scenario_dsl_trace_replay_is_byte_deterministic() {
 /// campaign runner — 1 worker and 4 workers serialize the same summary.
 #[test]
 fn scenario_dsl_trace_replay_is_thread_count_independent() {
-    use grid3_core::campaign::{run_with_threads, CampaignPlan};
+    use grid3_core::campaign::{run_campaign, CampaignPlan};
     let plan = CampaignPlan::single("replay", trace_config(synthetic_trace(2_000)), vec![1, 2]);
-    let one = run_with_threads(&plan, 1);
-    let four = run_with_threads(&plan, 4);
+    let one = run_campaign(&plan, 1);
+    let four = run_campaign(&plan, 4);
     let json = |o: &grid3_core::campaign::CampaignOutcome| {
         serde_json::to_string(&o.summary).expect("summary serializes")
     };
