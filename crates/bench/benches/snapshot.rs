@@ -25,6 +25,22 @@ fn cfg() -> ScenarioConfig {
     ScenarioConfig::sc2003().with_scale(SCALE).with_seed(SEED)
 }
 
+/// The measuring host: logical CPUs and CPU model (Linux
+/// `/proc/cpuinfo`; "unknown model" elsewhere).
+fn host() -> String {
+    let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown model".to_string());
+    format!("{cpus} x {model}")
+}
+
 /// Best-of-`reps` wall-clock seconds for `run`, returning its last value.
 fn timed<T>(reps: usize, mut run: impl FnMut() -> T) -> (f64, T) {
     let mut best = f64::INFINITY;
@@ -95,6 +111,7 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
+            "  \"host\": \"{}\",\n",
             "  \"scenario\": \"sc2003 scale={} seed={} cut=day{}\",\n",
             "  \"events_processed_at_cut\": {},\n",
             "  \"pending_events_at_cut\": {},\n",
@@ -109,6 +126,7 @@ fn main() {
             "  \"reports_identical\": {}\n",
             "}}\n"
         ),
+        host(),
         SCALE,
         SEED,
         CUT_DAYS,

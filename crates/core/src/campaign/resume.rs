@@ -32,16 +32,24 @@
 //!   next resume — a watchdog trip may have been environmental; a
 //!   deterministic hang will simply fail again.
 //!
-//! The executor is deliberately serial (one watchdog thread at a
-//! time). Ordering is not the reason — every journal record carries its
-//! run index, so a resume replays whichever runs finished, in any order.
-//! Memory is: each checkpoint's encode builds a full `serde::Value` tree
-//! of the engine. On perfbench's `campaign_resume` workload (2-core
-//! host, seeds 1–3), two concurrent checkpointing runs lifted runs/s
-//! from 2.5–2.7 to 4.6–5.0 but peak RSS from 91–92 MB to 164–166 MB,
-//! and serializing the checkpoint writes under a lock still left RSS at
-//! 158–168 MB. A parallel crash-safe path waits for a cheaper snapshot
-//! encoding.
+//! The executor is still serial (one watchdog thread at a time).
+//! Ordering is not the reason — every journal record carries its run
+//! index, so a resume replays whichever runs finished, in any order.
+//! The reason was memory: each checkpoint's encode built a full
+//! `serde::Value` tree of the engine, and two concurrent checkpointing
+//! runs took peak RSS from ~91 MB to ~165 MB. Encoding now streams
+//! (see the snapshot module). A day-15 checkpoint of a scale-0.05 run
+//! (~5.1 MB) costs ~1 ms to capture and ~9–11 ms to encode, 7.4 ms of
+//! which is the FNV-1a checksum the format fixes, plus ~5 ms to write
+//! and rename the file. On perfbench's `campaign_resume` workload
+//! (2-CPU Xeon host) the checkpointed sweep takes 2.5–3.4× as long as
+//! [`run_campaign_serial`](super::run_campaign_serial) in eight traced
+//! runs (5.4–9.9× with the tree), and twenty runs read 6.1–7.0 runs/s
+//! at 48–57 MB peak RSS (tree: 2.4–3.2 runs/s at 90–93 MB). Two
+//! checkpointing workers, measured on an unshipped copy of this
+//! executor (seeds 1–3), ran 9.2–12.7 runs/s at 81–100 MB peak RSS
+//! against 5.2–6.4 runs/s at 57 MB serially in the same batch, so
+//! running the crash-safe loop on the worker pool is now within reach.
 
 use std::io::{Seek as _, Write as _};
 use std::path::{Path, PathBuf};
@@ -51,7 +59,7 @@ use super::{merge_partial, CampaignOutcome, CampaignPlan};
 use crate::engine::Grid3Engine;
 use crate::report::Grid3Report;
 use crate::scenario::ScenarioConfig;
-use crate::snapshot::{decode_value, encode_value, fnv1a64, EngineSnapshot};
+use crate::snapshot::{decode_value, encode, fnv1a64, EngineSnapshot};
 use grid3_simkit::profiler::{CenterStats, CostProfiler};
 use grid3_simkit::time::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -225,21 +233,27 @@ impl CampaignJournal {
     /// before the caller merges the run it describes (write-ahead).
     pub fn append(&mut self, rec: &WalRecord) -> Result<(), WalError> {
         let io = |e: std::io::Error| WalError::Io(format!("{}: {e}", self.path.display()));
-        let mut payload = Vec::new();
-        encode_value(&rec.to_value(), &mut payload);
-        let mut frame = Vec::with_capacity(12 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        self.file.write_all(&frame).map_err(io)?;
+        self.file.write_all(&frame(rec)).map_err(io)?;
         self.file.sync_data().map_err(io)
     }
+}
+
+/// One journal frame: the record encoded after a 12-byte header that is
+/// patched in place once the payload's length and checksum are known.
+fn frame(rec: &WalRecord) -> Vec<u8> {
+    let mut frame = vec![0; 12];
+    encode(rec, &mut frame);
+    let payload = &frame[12..];
+    let (len, sum) = (payload.len() as u32, fnv1a64(payload));
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame[4..12].copy_from_slice(&sum.to_le_bytes());
+    frame
 }
 
 /// FNV-1a over the binary-encoded plan: the journal's identity check.
 pub fn plan_fingerprint(plan: &CampaignPlan) -> u64 {
     let mut bytes = Vec::new();
-    encode_value(&plan.to_value(), &mut bytes);
+    encode(plan, &mut bytes);
     fnv1a64(&bytes)
 }
 
@@ -367,8 +381,8 @@ where
 fn snapshot_matches(snap: &EngineSnapshot, cfg: &ScenarioConfig) -> bool {
     let mut a = Vec::new();
     let mut b = Vec::new();
-    encode_value(&snap.scenario().to_value(), &mut a);
-    encode_value(&cfg.to_value(), &mut b);
+    encode(snap.scenario(), &mut a);
+    encode(cfg, &mut b);
     a == b
 }
 
@@ -547,5 +561,79 @@ mod tests {
             Err(WalError::PlanMismatch)
         ));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn journal_frames_and_plan_fingerprint_match_the_tree_oracle() {
+        use crate::snapshot::encode_value;
+        let cfg = ScenarioConfig::sc2003()
+            .with_scale(0.004)
+            .with_days(2)
+            .with_demo(false);
+        let plan = CampaignPlan::single("base", cfg.clone(), vec![1, 2])
+            .with_variant("srm", cfg.clone().with_srm(true));
+        let mut oracle = Vec::new();
+        encode_value(&plan.to_value(), &mut oracle);
+        assert_eq!(plan_fingerprint(&plan), fnv1a64(&oracle));
+
+        let mut engine = Grid3Engine::new(cfg.with_profile(true));
+        engine.run();
+        let records = [
+            WalRecord::Header {
+                fingerprint: plan_fingerprint(&plan),
+            },
+            WalRecord::Finished {
+                index: 3,
+                report: Grid3Report::extract(&engine),
+                profile: engine.take_profiler().map(|p| p.stats().to_vec()),
+            },
+            WalRecord::Failed {
+                index: 1,
+                failure: RunFailure::TimedOut { budget_secs: 0.25 },
+            },
+            WalRecord::Failed {
+                index: 2,
+                failure: RunFailure::Panicked {
+                    message: "boom".to_string(),
+                },
+            },
+        ];
+        for (i, rec) in records.iter().enumerate() {
+            let mut payload = Vec::new();
+            encode_value(&rec.to_value(), &mut payload);
+            let mut want = (payload.len() as u32).to_le_bytes().to_vec();
+            want.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+            want.extend_from_slice(&payload);
+            assert!(frame(rec) == want, "record {i}: frame differs");
+        }
+    }
+
+    /// A checkpoint that nests a million levels deep, with a valid
+    /// checksum (FNV is not a MAC), must not abort the resume: the run
+    /// cold-starts and the campaign matches the plain sweep.
+    #[test]
+    fn a_too_deep_checkpoint_degrades_to_a_cold_start() {
+        let cfg = ScenarioConfig::sc2003()
+            .with_scale(0.004)
+            .with_days(3)
+            .with_demo(false);
+        let plan = CampaignPlan::single("base", cfg, vec![1, 2]);
+        let dir = std::env::temp_dir().join(format!("grid3-deep-snap-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        std::fs::write(
+            dir.join("run-0000.snap"),
+            crate::snapshot::nested_file(1_000_000),
+        )
+        .expect("write hostile checkpoint");
+        let resumed = run_campaign_resumable(&plan, &ResumableOptions::new(&dir)).expect("runs");
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(resumed.failures.is_empty());
+        assert_eq!(resumed.warm_started, 0);
+        let json = |o: &CampaignOutcome| serde_json::to_string(&o.summary).expect("serializes");
+        assert_eq!(
+            json(&resumed.outcome),
+            json(&super::super::run_campaign_serial(&plan))
+        );
     }
 }

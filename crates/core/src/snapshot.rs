@@ -29,7 +29,7 @@
 //! # On-disk format
 //!
 //! See DESIGN.md §13. A snapshot file is a small header followed by a
-//! length-free binary encoding of the serde value tree:
+//! tagged binary encoding of the snapshot's serde value:
 //!
 //! ```text
 //! [8B magic "G3ENGSNP"] [4B version LE] [8B FNV-1a checksum LE] [payload]
@@ -40,6 +40,14 @@
 //! garbage. The version is bumped whenever the payload schema changes
 //! shape; old versions are rejected, not migrated (snapshots are
 //! ephemeral crash-recovery artifacts, not archival data).
+//!
+//! The encoder streams: [`EngineSnapshot::to_bytes`] walks the snapshot
+//! through `serde::Serialize::serialize` into one tag writer that fills
+//! a single buffer, header first, and patches the checksum in place. No
+//! `serde::Value` tree is built; the bytes equal those of encoding the
+//! tree (the test oracle), so the format and [`SNAPSHOT_VERSION`] are
+//! those of tree-encoded snapshots. Decoding lifts a tree, with nesting
+//! capped at [`MAX_DEPTH`].
 
 use crate::chaos::{ChaosState, InvariantAuditor};
 use crate::engine::Grid3Engine;
@@ -66,7 +74,7 @@ use grid3_simkit::rng::SimRng;
 use grid3_simkit::series::GaugeTracker;
 use grid3_simkit::time::SimTime;
 use grid3_site::cluster::Site;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Sink, Value};
 
 /// Current snapshot payload schema version. Bumped on any change to the
 /// captured field set or their serde shapes; readers reject mismatches.
@@ -91,6 +99,10 @@ pub enum SnapshotError {
     ChecksumMismatch,
     /// The file ends mid-value.
     Truncated,
+    /// The payload nests arrays/objects deeper than [`MAX_DEPTH`]. No
+    /// snapshot the engine writes comes close; a file that does was not
+    /// written by it, and decoding it recursively would exhaust the stack.
+    TooDeep,
     /// The payload decoded to a value tree the engine schema rejects.
     Decode(String),
 }
@@ -108,6 +120,9 @@ impl std::fmt::Display for SnapshotError {
             }
             SnapshotError::ChecksumMismatch => write!(f, "snapshot checksum mismatch"),
             SnapshotError::Truncated => write!(f, "snapshot truncated"),
+            SnapshotError::TooDeep => {
+                write!(f, "snapshot nests deeper than {MAX_DEPTH} levels")
+            }
             SnapshotError::Decode(msg) => write!(f, "snapshot decode error: {msg}"),
         }
     }
@@ -145,7 +160,74 @@ const TAG_STR: u8 = 6;
 const TAG_ARRAY: u8 = 7;
 const TAG_OBJECT: u8 = 8;
 
-/// Append the binary encoding of `v` to `out`.
+/// The codec's writer: a [`Sink`] appending the tagged encoding of each
+/// value event to a byte buffer. Snapshots, journal records, plan
+/// fingerprints and scenario comparisons all stream through it, so no
+/// value tree is built on the way to bytes.
+struct TagWriter<'a> {
+    out: &'a mut Vec<u8>,
+}
+
+impl TagWriter<'_> {
+    fn tagged(&mut self, tag: u8, word: u64) {
+        self.out.push(tag);
+        self.out.extend_from_slice(&word.to_le_bytes());
+    }
+
+    fn bytes(&mut self, b: &[u8]) {
+        self.out.extend_from_slice(&(b.len() as u64).to_le_bytes());
+        self.out.extend_from_slice(b);
+    }
+}
+
+impl Sink for TagWriter<'_> {
+    fn null(&mut self) {
+        self.out.push(TAG_NULL);
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.out.push(if b { TAG_TRUE } else { TAG_FALSE });
+    }
+
+    fn u64(&mut self, n: u64) {
+        self.tagged(TAG_U64, n);
+    }
+
+    fn i64(&mut self, n: i64) {
+        self.tagged(TAG_I64, n as u64);
+    }
+
+    fn f64(&mut self, x: f64) {
+        self.tagged(TAG_F64, x.to_bits());
+    }
+
+    fn str(&mut self, s: &str) {
+        self.out.push(TAG_STR);
+        self.bytes(s.as_bytes());
+    }
+
+    fn seq(&mut self, len: usize) {
+        self.tagged(TAG_ARRAY, len as u64);
+    }
+
+    fn map(&mut self, len: usize) {
+        self.tagged(TAG_OBJECT, len as u64);
+    }
+
+    fn key(&mut self, k: &str) {
+        self.bytes(k.as_bytes());
+    }
+}
+
+/// Append the binary encoding of `value` to `out`, streamed straight
+/// from the value (see [`TagWriter`]).
+pub(crate) fn encode<T: Serialize + ?Sized>(value: &T, out: &mut Vec<u8>) {
+    value.serialize(&mut TagWriter { out });
+}
+
+/// The tree-walking encoder, kept as the test oracle: `encode(x)` must
+/// equal `encode_value(&x.to_value())`.
+#[cfg(test)]
 pub(crate) fn encode_value(v: &Value, out: &mut Vec<u8>) {
     match v {
         Value::Null => out.push(TAG_NULL),
@@ -220,9 +302,23 @@ fn take_string(bytes: &[u8], pos: &mut usize) -> Result<String, SnapshotError> {
         .map_err(|_| SnapshotError::Decode("non-UTF-8 string".to_string()))
 }
 
+/// Deepest array/object nesting the snapshot decoder accepts. The deepest
+/// nesting in the nine golden scenarios' mid-run snapshots is 14 levels
+/// (see `goldens_stream_byte_identically_and_nest_shallowly`), so the
+/// cap leaves a margin of 114 while bounding the decoder's recursion.
+pub const MAX_DEPTH: usize = 128;
+
 /// Decode one value starting at `pos`, advancing it past the value.
 pub(crate) fn decode_value(bytes: &[u8], pos: &mut usize) -> Result<Value, SnapshotError> {
+    decode_nested(bytes, pos, 0)
+}
+
+/// [`decode_value`] for a value inside `depth` enclosing arrays/objects.
+fn decode_nested(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, SnapshotError> {
     let tag = take(bytes, pos, 1)?[0];
+    if matches!(tag, TAG_ARRAY | TAG_OBJECT) && depth == MAX_DEPTH {
+        return Err(SnapshotError::TooDeep);
+    }
     match tag {
         TAG_NULL => Ok(Value::Null),
         TAG_FALSE => Ok(Value::Bool(false)),
@@ -235,7 +331,7 @@ pub(crate) fn decode_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Snaps
             let n = take_len(bytes, pos)?;
             let mut items = Vec::with_capacity(n);
             for _ in 0..n {
-                items.push(decode_value(bytes, pos)?);
+                items.push(decode_nested(bytes, pos, depth + 1)?);
             }
             Ok(Value::Array(items))
         }
@@ -244,12 +340,31 @@ pub(crate) fn decode_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Snaps
             let mut pairs = Vec::with_capacity(n);
             for _ in 0..n {
                 let key = take_string(bytes, pos)?;
-                pairs.push((key, decode_value(bytes, pos)?));
+                pairs.push((key, decode_nested(bytes, pos, depth + 1)?));
             }
             Ok(Value::Object(pairs))
         }
         other => Err(SnapshotError::Decode(format!("unknown value tag {other}"))),
     }
+}
+
+/// A well-formed snapshot file (valid header and checksum) whose payload
+/// is `levels` nested one-element arrays around a `null`: hostile input
+/// that only the nesting cap stops.
+#[cfg(test)]
+pub(crate) fn nested_file(levels: usize) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(9 * levels + 1);
+    for _ in 0..levels {
+        payload.push(TAG_ARRAY);
+        payload.extend_from_slice(&1u64.to_le_bytes());
+    }
+    payload.push(TAG_NULL);
+    let mut file = Vec::new();
+    file.extend_from_slice(&MAGIC);
+    file.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    file.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+    file.extend_from_slice(&payload);
+    file
 }
 
 // ---------------------------------------------------------------------
@@ -315,13 +430,13 @@ impl EngineSnapshot {
     /// Serialize to the versioned, checksummed binary format (see the
     /// module docs).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        encode_value(&self.to_value(), &mut payload);
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        let mut out = Vec::new();
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        out.extend_from_slice(&[0; 8]);
+        encode(self, &mut out);
+        let sum = fnv1a64(&out[HEADER_LEN..]);
+        out[12..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
         out
     }
 
@@ -469,6 +584,8 @@ pub(crate) fn restore_engine(snap: EngineSnapshot) -> Grid3Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet, HashMap};
 
     fn round_trip(v: &Value) -> Value {
         let mut bytes = Vec::new();
@@ -550,5 +667,233 @@ mod tests {
             EngineSnapshot::from_bytes(&bad_sum).err(),
             Some(SnapshotError::ChecksumMismatch)
         ));
+    }
+
+    /// `encode` must write exactly what the tree oracle writes.
+    fn assert_streams_like_tree<T: Serialize>(x: &T) -> Vec<u8> {
+        let mut streamed = Vec::new();
+        encode(x, &mut streamed);
+        let mut oracle = Vec::new();
+        encode_value(&x.to_value(), &mut oracle);
+        assert!(
+            streamed == oracle,
+            "streamed encoding differs from the tree's"
+        );
+        streamed
+    }
+
+    /// Arrays/objects enclosing the deepest value of `v`.
+    fn nesting(v: &Value) -> usize {
+        match v {
+            Value::Array(xs) => 1 + xs.iter().map(nesting).max().unwrap_or(0),
+            Value::Object(pairs) => 1 + pairs.iter().map(|(_, x)| nesting(x)).max().unwrap_or(0),
+            _ => 0,
+        }
+    }
+
+    /// The nine golden scenarios of `tests/determinism.rs`, cut at half
+    /// their horizon: the streamed file is the header plus the tree
+    /// oracle's payload, byte for byte, and the deepest nesting leaves
+    /// [`MAX_DEPTH`] a wide margin.
+    #[test]
+    fn goldens_stream_byte_identically_and_nest_shallowly() {
+        let goldens = [
+            ("sc2003", 2003),
+            ("sc2003_operated", 2003),
+            ("sc2003", 7),
+            ("sc2003_operated", 7),
+            ("sc2003", 42),
+            ("sc2003_operated", 42),
+            ("sc2003_operated", 1234),
+            ("sc2003_chaos", 2003),
+            ("sc2003_federated", 2003),
+        ];
+        let mut deepest = 0;
+        for (name, seed) in goldens {
+            let base = match name {
+                "sc2003" => ScenarioConfig::sc2003(),
+                "sc2003_operated" => ScenarioConfig::sc2003_operated(),
+                "sc2003_chaos" => ScenarioConfig::sc2003_chaos(),
+                _ => ScenarioConfig::sc2003_federated(),
+            };
+            let cfg = base.with_scale(0.02).with_seed(seed);
+            let half = SimTime::EPOCH + cfg.horizon().since(SimTime::EPOCH) / 2;
+            let mut engine = Grid3Engine::new(cfg);
+            engine.run_until(half);
+            let snap = engine.snapshot();
+            let tree = snap.to_value();
+            let mut payload = Vec::new();
+            encode_value(&tree, &mut payload);
+            let mut want = Vec::new();
+            want.extend_from_slice(&MAGIC);
+            want.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+            want.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+            want.extend_from_slice(&payload);
+            assert!(snap.to_bytes() == want, "{name}/seed {seed}: bytes differ");
+            deepest = deepest.max(nesting(&tree));
+        }
+        assert_eq!(deepest, 14, "update the margin recorded at MAX_DEPTH");
+    }
+
+    #[test]
+    fn decoder_caps_nesting_with_a_typed_error() {
+        let file = nested_file(1_000_000);
+        assert!(matches!(
+            EngineSnapshot::from_bytes(&file),
+            Err(SnapshotError::TooDeep)
+        ));
+        let payload = &file[HEADER_LEN..];
+        assert_eq!(decode_value(payload, &mut 0), Err(SnapshotError::TooDeep));
+        // Exactly MAX_DEPTH levels still decode; one more does not.
+        let legal = &payload[payload.len() - 9 * MAX_DEPTH - 1..];
+        assert!(decode_value(legal, &mut 0).is_ok());
+        let over = &payload[payload.len() - 9 * (MAX_DEPTH + 1) - 1..];
+        assert_eq!(decode_value(over, &mut 0), Err(SnapshotError::TooDeep));
+    }
+
+    #[derive(Serialize)]
+    enum Shape {
+        Unit,
+        One(u32),
+        Pair(i64, f32),
+        Named {
+            wide: u128,
+            #[serde(skip_serializing_if = "Option::is_none")]
+            note: Option<String>,
+        },
+    }
+
+    #[derive(Serialize)]
+    struct Triple(u8, f64, Option<i16>);
+
+    #[derive(Serialize)]
+    struct Id(u64);
+
+    #[derive(Serialize)]
+    struct Marker;
+
+    #[derive(Serialize)]
+    struct Wrap<T> {
+        inner: T,
+    }
+
+    #[derive(Serialize)]
+    struct Doc {
+        #[serde(skip_serializing_if = "Option::is_none")]
+        maybe: Option<u64>,
+        #[serde(skip_serializing_if = "Vec::is_empty")]
+        shapes: Vec<Shape>,
+        floats: Vec<f64>,
+        narrow: f32,
+        wide: u128,
+        by_id: HashMap<u32, Triple>,
+        by_name: HashMap<String, Id>,
+        by_pair: BTreeMap<(u8, u8), bool>,
+        empty_hash: HashMap<u64, u64>,
+        empty_tree: BTreeMap<String, u64>,
+        set: BTreeSet<i32>,
+        marker: Marker,
+        wrapped: Wrap<Option<Id>>,
+    }
+
+    /// Floats the encoder must carry bit-exactly.
+    const SPECIAL: [f64; 6] = [
+        f64::NAN,
+        -0.0,
+        0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1e-310,
+    ];
+
+    fn doc(words: &[u64]) -> Doc {
+        let w = |i: usize| words[i % words.len()];
+        let shapes = words
+            .iter()
+            .map(|&x| match x % 5 {
+                0 => Shape::Unit,
+                1 => Shape::One(x as u32),
+                2 => Shape::Pair(x as i64, f32::from_bits(x as u32)),
+                3 => Shape::Named {
+                    wide: u128::from(x) << 64 | u128::from(x),
+                    note: None,
+                },
+                _ => Shape::Named {
+                    wide: u128::from(x),
+                    note: Some(format!("n{x}")),
+                },
+            })
+            .take(w(0) as usize % 4)
+            .collect();
+        Doc {
+            maybe: (w(1) % 2 == 0).then_some(w(2)),
+            shapes,
+            floats: words
+                .iter()
+                .map(|&x| match x % 8 {
+                    k @ 0..=5 => SPECIAL[k as usize],
+                    _ => f64::from_bits(x),
+                })
+                .collect(),
+            narrow: f32::from_bits(w(3) as u32),
+            wide: u128::from(w(4)) * u128::from(w(5)),
+            // Keys of one to three digits, so `10` must sort before `9`.
+            by_id: words
+                .iter()
+                .map(|&x| {
+                    (
+                        (x % 1000) as u32,
+                        Triple(x as u8, -0.0, (x % 3 == 0).then_some(-7)),
+                    )
+                })
+                .collect(),
+            by_name: words
+                .iter()
+                .map(|&x| (format!("k{}", x % 100), Id(x)))
+                .collect(),
+            by_pair: words
+                .iter()
+                .map(|&x| ((x as u8, (x >> 8) as u8), x % 2 == 0))
+                .collect(),
+            empty_hash: HashMap::new(),
+            empty_tree: BTreeMap::new(),
+            set: words.iter().map(|&x| x as i32).collect(),
+            marker: Marker,
+            wrapped: Wrap {
+                inner: (w(6) % 2 == 0).then_some(Id(w(7))),
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn streamed_encoding_matches_the_tree_oracle(
+            words in proptest::collection::vec(any::<u64>(), 1..24),
+        ) {
+            let doc = doc(&words);
+            let bytes = assert_streams_like_tree(&doc);
+            let mut pos = 0;
+            let back = decode_value(&bytes, &mut pos).expect("decodes");
+            prop_assert_eq!(pos, bytes.len());
+            let mut again = Vec::new();
+            encode_value(&back, &mut again);
+            prop_assert!(again == bytes, "decode/encode is not the identity");
+        }
+    }
+
+    #[test]
+    fn integer_keyed_hash_maps_sort_by_debug_text() {
+        let m: HashMap<u32, ()> = [(9, ()), (10, ()), (100, ()), (1, ())].into();
+        let bytes = assert_streams_like_tree(&m);
+        let Value::Array(pairs) = decode_value(&bytes, &mut 0).expect("decodes") else {
+            panic!("integer keys encode as pairs");
+        };
+        let keys: Vec<u64> = pairs
+            .iter()
+            .map(|p| p.as_array().and_then(|kv| kv[0].as_u64()).expect("pair"))
+            .collect();
+        assert_eq!(keys, [1, 10, 100, 9]);
     }
 }
