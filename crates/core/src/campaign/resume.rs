@@ -575,6 +575,7 @@ mod tests {
         let mut oracle = Vec::new();
         encode_value(&plan.to_value(), &mut oracle);
         assert_eq!(plan_fingerprint(&plan), fnv1a64(&oracle));
+        assert_eq!(plan_fingerprint(&plan), 0x4bb53f3ced6dee5c);
 
         let mut engine = Grid3Engine::new(cfg.with_profile(true));
         engine.run();
@@ -606,6 +607,38 @@ mod tests {
             want.extend_from_slice(&payload);
             assert!(frame(rec) == want, "record {i}: frame differs");
         }
+        // The profile's wall times vary run to run; with them zeroed the
+        // journal's frames are fixed bytes, pinned independently of both
+        // encoders.
+        let mut journal = Vec::new();
+        for rec in records {
+            let rec = match rec {
+                WalRecord::Finished {
+                    index,
+                    report,
+                    profile,
+                } => WalRecord::Finished {
+                    index,
+                    report,
+                    profile: profile.map(|stats| {
+                        stats
+                            .into_iter()
+                            .map(|s| CenterStats {
+                                total_ns: 0,
+                                hist: [0; grid3_simkit::profiler::LOG2_BUCKETS],
+                                ..s
+                            })
+                            .collect()
+                    }),
+                },
+                other => other,
+            };
+            journal.extend_from_slice(&frame(&rec));
+        }
+        assert_eq!(
+            (journal.len(), fnv1a64(&journal)),
+            (21535, 0x512a9a01762bc1e4)
+        );
     }
 
     /// A checkpoint that nests a million levels deep, with a valid

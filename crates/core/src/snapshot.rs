@@ -708,8 +708,21 @@ mod tests {
             ("sc2003_chaos", 2003),
             ("sc2003_federated", 2003),
         ];
+        // `(len, fnv1a64)` of each golden's half-horizon `to_bytes()`,
+        // pinned independently of both encoders.
+        let pinned: [(usize, u64); 9] = [
+            (3214068, 0x6cb5489425dd51bc),
+            (3244529, 0xb561b7014215f4bf),
+            (3169042, 0x499e15cbdd230263),
+            (3247555, 0xace087c68e4bdfbc),
+            (3204359, 0x60edef7444cee69f),
+            (3259748, 0x3f37a84061fc1664),
+            (3238549, 0xe0f2a0cd14b1eb71),
+            (3233082, 0x9da62265f67c5e55),
+            (3236158, 0x68cb62c0880aab33),
+        ];
         let mut deepest = 0;
-        for (name, seed) in goldens {
+        for ((name, seed), (len, sum)) in goldens.into_iter().zip(pinned) {
             let base = match name {
                 "sc2003" => ScenarioConfig::sc2003(),
                 "sc2003_operated" => ScenarioConfig::sc2003_operated(),
@@ -729,7 +742,13 @@ mod tests {
             want.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
             want.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
             want.extend_from_slice(&payload);
-            assert!(snap.to_bytes() == want, "{name}/seed {seed}: bytes differ");
+            let bytes = snap.to_bytes();
+            assert!(bytes == want, "{name}/seed {seed}: bytes differ");
+            assert_eq!(
+                (bytes.len(), fnv1a64(&bytes)),
+                (len, sum),
+                "{name}/seed {seed}: pinned bytes moved"
+            );
             deepest = deepest.max(nesting(&tree));
         }
         assert_eq!(deepest, 14, "update the margin recorded at MAX_DEPTH");
