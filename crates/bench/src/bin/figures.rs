@@ -402,7 +402,7 @@ fn main() {
             .take(3)
             .map(|r| format!("{}/{}", r.center.subsystem, r.center.event))
             .collect();
-        println!("  top-3 cost centers by ns/event: {}", top.join(", "));
+        println!("  top-3 cost centers by share: {}", top.join(", "));
         if rows.iter().all(|r| r.allocs_per_event == 0.0) {
             println!("  (allocs/bytes are 0: rebuild with --features grid3-simkit/count-allocs)");
         }

@@ -161,6 +161,16 @@ pub(crate) fn u64_value(v: &Value, path: &str) -> Result<u64, DslError> {
     })
 }
 
+/// A count that must be at least 1: zero `days` leaves the daily series
+/// no bins, and a zero monitor interval reschedules its tick at the same
+/// instant forever.
+pub(crate) fn positive_u64(v: &Value, path: &str) -> Result<u64, DslError> {
+    match u64_value(v, path)? {
+        0 => Err(DslError::field(path, "must be at least 1")),
+        n => Ok(n),
+    }
+}
+
 pub(crate) fn u32_value(v: &Value, path: &str) -> Result<u32, DslError> {
     u64_value(v, path)?
         .try_into()

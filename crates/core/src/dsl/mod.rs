@@ -232,8 +232,8 @@ pub fn export_config(cfg: &ScenarioConfig) -> String {
 }
 
 impl Serialize for ScenarioDoc {
-    fn to_value(&self) -> Value {
-        self.encode()
+    fn serialize<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
+        self.encode().serialize(sink)
     }
 }
 
@@ -264,11 +264,11 @@ impl ScenarioDoc {
                     "give `monitor_interval_mins` or `monitor_interval_us`, not both",
                 ))
             }
-            (Some(mins), None) => Some(SimDuration::from_mins(d::u64_value(
+            (Some(mins), None) => Some(SimDuration::from_mins(d::positive_u64(
                 mins,
                 "monitor_interval_mins",
             )?)),
-            (None, Some(us)) => Some(SimDuration::from_micros(d::u64_value(
+            (None, Some(us)) => Some(SimDuration::from_micros(d::positive_u64(
                 us,
                 "monitor_interval_us",
             )?)),
@@ -279,7 +279,9 @@ impl ScenarioDoc {
                 .map(|v| d::str_value(v, "name").map(str::to_string))
                 .transpose()?,
             seed: opt("seed").map(|v| d::u64_value(v, "seed")).transpose()?,
-            days: opt("days").map(|v| d::u64_value(v, "days")).transpose()?,
+            days: opt("days")
+                .map(|v| d::positive_u64(v, "days"))
+                .transpose()?,
             horizon_hours: opt("horizon_hours")
                 .map(|v| d::u64_value(v, "horizon_hours"))
                 .transpose()?,
@@ -675,15 +677,23 @@ fn decode_demo(v: &Value) -> Result<DemoDoc, DslError> {
     let o = d::as_object(v, path)?;
     d::check_keys(o, path, &["enabled", "sites", "daily_target_tb"])?;
     let defaults = ScenarioConfig::default();
+    let sites = d::get(o, "sites")
+        .map(|v| d::usize_value(v, &d::join(path, "sites")))
+        .transpose()?
+        .unwrap_or(defaults.demo_sites);
+    if sites < 2 {
+        // The demonstrator moves data over every ordered site pair.
+        return Err(DslError::field(
+            &d::join(path, "sites"),
+            format!("{sites} is fewer than the 2 a transfer matrix needs"),
+        ));
+    }
     Ok(DemoDoc {
         enabled: d::get(o, "enabled")
             .map(|v| d::bool_value(v, &d::join(path, "enabled")))
             .transpose()?
             .unwrap_or(defaults.include_demo),
-        sites: d::get(o, "sites")
-            .map(|v| d::usize_value(v, &d::join(path, "sites")))
-            .transpose()?
-            .unwrap_or(defaults.demo_sites),
+        sites,
         daily_target_tb: d::get(o, "daily_target_tb")
             .map(|v| d::u64_value(v, &d::join(path, "daily_target_tb")))
             .transpose()?

@@ -46,8 +46,10 @@
 //! a single buffer, header first, and patches the checksum in place. No
 //! `serde::Value` tree is built; the bytes equal those of encoding the
 //! tree (the test oracle), so the format and [`SNAPSHOT_VERSION`] are
-//! those of tree-encoded snapshots. Decoding lifts a tree, with nesting
-//! capped at [`MAX_DEPTH`].
+//! those of tree-encoded snapshots. `to_value` builds its tree from the
+//! same `serialize` events, so the tests also pin the goldens' snapshot
+//! bytes to fixed constants. Decoding lifts a tree, with nesting capped
+//! at [`MAX_DEPTH`].
 
 use crate::chaos::{ChaosState, InvariantAuditor};
 use crate::engine::Grid3Engine;

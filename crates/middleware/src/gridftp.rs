@@ -179,16 +179,22 @@ pub struct GridFtp {
 // process-local handles re-interned via [`GridFtp::set_telemetry`] after a
 // snapshot restore.
 impl Serialize for GridFtp {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("links".into(), self.links.to_value()),
-            ("link_up".into(), self.link_up.to_value()),
-            ("streams".into(), self.streams.to_value()),
-            ("active".into(), self.active.to_value()),
-            ("ids".into(), self.ids.to_value()),
-            ("log".into(), self.log.to_value()),
-            ("log_enabled".into(), self.log_enabled.to_value()),
-        ])
+    fn serialize<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
+        sink.map(7);
+        sink.key("links");
+        self.links.serialize(sink);
+        sink.key("link_up");
+        self.link_up.serialize(sink);
+        sink.key("streams");
+        self.streams.serialize(sink);
+        sink.key("active");
+        self.active.serialize(sink);
+        sink.key("ids");
+        self.ids.serialize(sink);
+        sink.key("log");
+        self.log.serialize(sink);
+        sink.key("log_enabled");
+        self.log_enabled.serialize(sink);
     }
 }
 

@@ -204,8 +204,8 @@ impl CostProfiler {
     }
 
     /// The cost table, one row per center with ≥ 1 event, ranked by
-    /// ns/event descending (ties break by total time, then label, so
-    /// the order is deterministic for equal inputs).
+    /// share of the attributed time (total self time) descending; ties
+    /// break by label, so the order is deterministic for equal inputs.
     pub fn rows(&self) -> Vec<CostRow> {
         let total_ns = self.total_ns().max(1) as f64;
         let mut rows: Vec<CostRow> = self
@@ -228,10 +228,8 @@ impl CostProfiler {
             })
             .collect();
         rows.sort_by(|a, b| {
-            b.ns_per_event
-                .partial_cmp(&a.ns_per_event)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(b.total_ns.cmp(&a.total_ns))
+            b.total_ns
+                .cmp(&a.total_ns)
                 .then(a.center.subsystem.cmp(b.center.subsystem))
                 .then(a.center.event.cmp(b.center.event))
         });
@@ -394,6 +392,25 @@ mod tests {
         assert!((rows[1].fanout_per_event - 1.0).abs() < 1e-9);
         assert!((rows[1].allocs_per_event - 0.5).abs() < 1e-9);
         assert!((rows[0].share_pct + rows[1].share_pct - 100.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn rows_rank_by_share_not_ns_per_event() {
+        let mut p = CostProfiler::new(&CENTERS);
+        // execution_ends: many cheap events, the largest share.
+        for _ in 0..10 {
+            p.record(1, 100, 0, 0, 0);
+        }
+        // monitor_tick: one slow event, the highest ns/event.
+        p.record(2, 600, 0, 0, 0);
+        // try_dispatch: ties execution_ends' total; the label decides.
+        p.record(0, 500, 0, 0, 0);
+        p.record(0, 500, 0, 0, 0);
+        let rows = p.rows();
+        let order: Vec<&str> = rows.iter().map(|r| r.center.event).collect();
+        assert_eq!(order, ["execution_ends", "try_dispatch", "monitor_tick"]);
+        assert!(rows[2].ns_per_event > rows[0].ns_per_event);
+        assert!(rows[0].share_pct > rows[2].share_pct);
     }
 
     #[test]

@@ -102,10 +102,10 @@ impl SimRng {
 }
 
 impl serde::Serialize for SimRng {
-    fn to_value(&self) -> serde::Value {
+    fn serialize<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
         // The xoshiro256++ state words capture the stream position exactly,
         // so a snapshot restores draws mid-stream without replaying.
-        self.inner.state().to_value()
+        self.inner.state().serialize(sink)
     }
 }
 

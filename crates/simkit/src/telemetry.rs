@@ -301,8 +301,8 @@ impl std::fmt::Debug for Counter {
 }
 
 impl serde::Serialize for Counter {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
+    fn serialize<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
+        sink.null()
     }
 }
 
@@ -349,8 +349,8 @@ impl std::fmt::Debug for Histo {
 }
 
 impl serde::Serialize for Histo {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
+    fn serialize<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
+        sink.null()
     }
 }
 
@@ -382,8 +382,8 @@ impl std::fmt::Debug for Telemetry {
 // The handle is runtime plumbing, not state: it serializes as `null` and
 // deserializes as disabled, so serde-derived structs can embed it.
 impl serde::Serialize for Telemetry {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
+    fn serialize<S: serde::Sink + ?Sized>(&self, sink: &mut S) {
+        sink.null()
     }
 }
 

@@ -285,6 +285,15 @@ fn scenario_dsl_malformed_documents_never_panic() {
             "trace.jobs[0].walltime_factor",
         ),
         ("[1, 2, 3]", ""),
+        // Documents that used to decode and then panic or hang the run.
+        (r#"{"days": 0}"#, "days"),
+        (
+            r#"{"demo": {"enabled": true, "sites": 1, "daily_target_tb": 3}}"#,
+            "demo.sites",
+        ),
+        (r#"{"demo": {"sites": 0}}"#, "demo.sites"),
+        (r#"{"monitor_interval_mins": 0}"#, "monitor_interval_mins"),
+        (r#"{"monitor_interval_us": 0}"#, "monitor_interval_us"),
     ];
     for (text, path) in cases {
         match dsl::parse_str(text) {
