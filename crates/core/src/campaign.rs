@@ -26,6 +26,7 @@ use grid3_simkit::profiler::CostProfiler;
 use grid3_simkit::stats::{percentile, Summary};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// One named configuration variant of a campaign (e.g. the SRM ablation
 /// or a resilience-layer overlay of the same window).
@@ -340,8 +341,8 @@ pub fn run_campaign(plan: &CampaignPlan, threads: usize) -> CampaignOutcome {
     let runs = plan.runs();
     let n = runs.len();
     let threads = threads.max(1).min(n.max(1));
-    type Slot = parking_lot::Mutex<Option<(Grid3Report, Option<CostProfiler>)>>;
-    let slots: Vec<Slot> = (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
+    let slots: Vec<OnceLock<(Grid3Report, Option<CostProfiler>)>> =
+        (0..n).map(|_| OnceLock::new()).collect();
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..threads {
@@ -350,7 +351,8 @@ pub fn run_campaign(plan: &CampaignPlan, threads: usize) -> CampaignOutcome {
                 if i >= n {
                     break;
                 }
-                *slots[i].lock() = Some(run_one(&runs[i]));
+                let filled = slots[i].set(run_one(&runs[i])).is_ok();
+                assert!(filled, "the cursor hands out each run once");
             });
         }
     });

@@ -669,4 +669,68 @@ mod tests {
             json(&super::super::run_campaign_serial(&plan))
         );
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Hostile bytes after an intact journal prefix: raw garbage, a
+        /// frame header claiming up to `u32::MAX` payload bytes, or a
+        /// correctly checksummed frame around garbage (so it reaches the
+        /// decoder). `open` must not panic, must keep exactly the intact
+        /// prefix and truncate the file to it, and a second `open` must
+        /// recover the same records.
+        #[test]
+        fn hostile_wal_bytes_truncate_to_the_intact_prefix(
+            intact in 0usize..4,
+            tail_kind in 0u8..3,
+            claimed_len in proptest::prelude::any::<u32>(),
+            garbage in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+        ) {
+            let fingerprint = 0x5EED;
+            let mut bytes = Vec::new();
+            if intact > 0 {
+                bytes.extend(frame(&WalRecord::Header { fingerprint }));
+            }
+            for index in 1..intact as u64 {
+                bytes.extend(frame(&WalRecord::Failed {
+                    index,
+                    failure: RunFailure::Panicked { message: format!("run {index}") },
+                }));
+            }
+            let prefix = bytes.len();
+            let len = match tail_kind {
+                0 => None,
+                1 => Some(claimed_len),
+                _ => Some(garbage.len() as u32),
+            };
+            if let Some(len) = len {
+                bytes.extend(len.to_le_bytes());
+                bytes.extend(fnv1a64(&garbage).to_le_bytes());
+            }
+            bytes.extend(&garbage);
+
+            let (_, valid) = scan(&bytes);
+            proptest::prop_assert!(prefix <= valid && valid <= bytes.len());
+            let dir = std::env::temp_dir()
+                .join(format!("grid3-hostile-wal-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            let path = dir.join("campaign.wal");
+            std::fs::write(&path, &bytes).expect("write hostile journal");
+            let (journal, first) = CampaignJournal::open(&path, fingerprint).expect("reopens");
+            drop(journal);
+            proptest::prop_assert_eq!(first.len(), intact.saturating_sub(1));
+            // A fresh journal is truncated to nothing, then headed.
+            let want = if valid == 0 {
+                frame(&WalRecord::Header { fingerprint })
+            } else {
+                bytes[..valid].to_vec()
+            };
+            let on_disk = std::fs::read(&path).expect("read back");
+            proptest::prop_assert!(on_disk == want, "file not truncated to the intact prefix");
+            let (_, second) = CampaignJournal::open(&path, fingerprint).expect("reopens again");
+            std::fs::remove_dir_all(&dir).ok();
+            let frames = |recs: &[WalRecord]| recs.iter().map(frame).collect::<Vec<_>>();
+            proptest::prop_assert!(frames(&first) == frames(&second), "second open differs");
+        }
+    }
 }

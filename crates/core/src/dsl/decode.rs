@@ -100,6 +100,12 @@ impl fmt::Display for DslError {
 
 impl std::error::Error for DslError {}
 
+impl From<crate::scenario::ConfigError> for DslError {
+    fn from(e: crate::scenario::ConfigError) -> Self {
+        DslError::field(e.field, e.msg)
+    }
+}
+
 /// Extend a field path with a key.
 pub(crate) fn join(path: &str, key: &str) -> String {
     if path.is_empty() {

@@ -472,9 +472,6 @@ impl ScenarioDoc {
         }
         cfg.horizon_hours = self.horizon_hours;
         if let Some(scale) = self.scale {
-            if !(scale > 0.0 && scale.is_finite()) {
-                return Err(DslError::field("scale", format!("{scale} is not positive")));
-            }
             cfg.scale = scale;
         }
         if let Some(demo) = &self.demo {
@@ -527,9 +524,6 @@ impl ScenarioDoc {
             cfg.storms = storms.clone();
         }
         if let Some(replicas) = self.site_replicas {
-            if replicas == 0 {
-                return Err(DslError::field("site_replicas", "must be at least 1"));
-            }
             cfg.site_replicas = replicas;
         }
         if let Some(queue) = self.queue {
@@ -557,6 +551,7 @@ impl ScenarioDoc {
             }
             None => None,
         };
+        cfg.validate()?;
         // Sampled last: the plan depends on the document's own seed,
         // topology width and horizon.
         if let Some(chaos) = &self.chaos {

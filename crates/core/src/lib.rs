@@ -87,6 +87,6 @@ pub use federation::{Federation, FederationState, GridMap, GridRuntime, GridSpec
 pub use ops::{OpsEventKind, OpsJournal, OpsRecord};
 pub use report::Grid3Report;
 pub use resilience::{ResilienceConfig, ResilienceLayer};
-pub use scenario::{CampaignSpec, ScenarioConfig, StormSpec};
+pub use scenario::{CampaignSpec, ConfigError, ScenarioConfig, StormSpec};
 pub use snapshot::{EngineSnapshot, SnapshotError};
 pub use topology::{grid3_topology, SiteSpec, Topology};

@@ -440,6 +440,41 @@ impl ScenarioConfig {
         }
     }
 
+    /// Check the knobs the engine cannot run without: a horizon with at
+    /// least one bin, a monitor tick that advances the clock, a demo
+    /// matrix with a site pair, a positive workload scale and at least
+    /// one topology replica. [`Grid3Engine::new`](crate::Grid3Engine::new)
+    /// runs this first, so a config built in Rust fails with the field's
+    /// name instead of panicking or spinning deep inside a run.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let fail = |field, msg: String| Err(ConfigError { field, msg });
+        if self.days == 0 {
+            return fail("days", "must be at least 1".into());
+        }
+        if self.horizon_hours == Some(0) {
+            return fail("horizon_hours", "must be at least 1".into());
+        }
+        if self.monitor_interval == SimDuration::ZERO {
+            return fail("monitor_interval", "must be positive".into());
+        }
+        if self.include_demo && self.demo_sites < 2 {
+            return fail(
+                "demo.sites",
+                format!(
+                    "{} is fewer than the 2 a transfer matrix needs",
+                    self.demo_sites
+                ),
+            );
+        }
+        if !(self.scale > 0.0 && self.scale.is_finite()) {
+            return fail("scale", format!("{} is not positive", self.scale));
+        }
+        if self.site_replicas == 0 {
+            return fail("site_replicas", "must be at least 1".into());
+        }
+        Ok(())
+    }
+
     /// The scenario's workloads — the override if one is set, else the
     /// Table 1 set — with monthly quotas scaled by `scale` (rounding up,
     /// so tiny scales still submit at least one job for any non-zero
@@ -489,6 +524,24 @@ impl ScenarioConfig {
         }
     }
 }
+
+/// A [`ScenarioConfig`] knob the engine cannot run with; see
+/// [`ScenarioConfig::validate`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The offending field, named as the scenario DSL names it.
+    pub field: &'static str,
+    /// What is wrong with it.
+    pub msg: String,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "invalid field `{}`: {}", self.field, self.msg)
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Everything one run produces: the (golden-hashed) report plus the
 /// observation-only side artifacts. See [`ScenarioConfig::run_full`].
@@ -556,6 +609,82 @@ mod tests {
     #[should_panic(expected = "scale must be")]
     fn zero_scale_rejected() {
         let _ = ScenarioConfig::sc2003().with_scale(0.0);
+    }
+
+    /// `cfg` fails [`ScenarioConfig::validate`] on `field`, and building
+    /// an engine from it panics at once, naming that field.
+    fn assert_rejected(cfg: ScenarioConfig, field: &str) {
+        assert_eq!(cfg.validate().map_err(|e| e.field), Err(field));
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            crate::Grid3Engine::new(cfg)
+        }))
+        .map(drop)
+        .expect_err("assembly must reject the config");
+        let msg = err.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains(&format!("`{field}`")), "{msg}");
+    }
+
+    #[test]
+    fn zero_days_rejected_at_construction() {
+        assert_rejected(ScenarioConfig::sc2003().with_days(0), "days");
+    }
+
+    #[test]
+    fn zero_horizon_hours_rejected_at_construction() {
+        assert_rejected(
+            ScenarioConfig::sc2003().with_horizon_hours(0),
+            "horizon_hours",
+        );
+    }
+
+    #[test]
+    fn zero_monitor_interval_rejected_at_construction() {
+        // Would otherwise reschedule the monitor tick at `now` forever.
+        let cfg = ScenarioConfig {
+            monitor_interval: SimDuration::ZERO,
+            ..ScenarioConfig::sc2003().with_scale(0.01)
+        };
+        assert_rejected(cfg, "monitor_interval");
+    }
+
+    #[test]
+    fn demo_with_fewer_than_two_sites_rejected_at_construction() {
+        for sites in [0, 1] {
+            let cfg = ScenarioConfig {
+                demo_sites: sites,
+                ..ScenarioConfig::sc2003()
+            };
+            assert_rejected(cfg.clone(), "demo.sites");
+            // With the demonstrator off the matrix is never built.
+            assert_eq!(cfg.with_demo(false).validate(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn non_positive_scale_rejected_at_construction() {
+        for scale in [0.0, -1.5, f64::NAN, f64::INFINITY] {
+            let cfg = ScenarioConfig {
+                scale,
+                ..ScenarioConfig::sc2003()
+            };
+            assert_rejected(cfg, "scale");
+        }
+    }
+
+    #[test]
+    fn zero_site_replicas_rejected_at_construction() {
+        let cfg = ScenarioConfig {
+            site_replicas: 0,
+            ..ScenarioConfig::sc2003()
+        };
+        assert_rejected(cfg, "site_replicas");
+    }
+
+    #[test]
+    fn dsl_lowering_runs_the_same_validation() {
+        let doc = crate::dsl::parse_str(r#"{"horizon_hours": 0}"#).expect("decodes");
+        let err = doc.to_config().expect_err("zero horizon rejected");
+        assert_eq!(err.field_path(), Some("horizon_hours"));
     }
 
     #[test]

@@ -47,6 +47,9 @@ use super::{BrokeringEvent, EngineCtx, FaultEvent, GridEvent, ReportingEvent, St
 /// through the iGOC pipeline, register users with VOMS/GSI/AUP, schedule
 /// workloads, demo rounds, failure incidents and monitor ticks.
 pub(crate) fn assemble(cfg: ScenarioConfig) -> Grid3Engine {
+    if let Err(e) = cfg.validate() {
+        panic!("invalid scenario config: {e}");
+    }
     let topo = crate::topology::grid3_topology().replicated(cfg.site_replicas);
     let mut sites = topo.build_sites();
     // The federation layer: label sites into member grids (or the
